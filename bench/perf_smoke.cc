@@ -12,10 +12,14 @@
 // Medium::move_radios ticks with interned beacon payloads, against the
 // pre-rework scalar set_position loop with per-frame payload minting — and
 // (4) wall-clock time of an 8-replication vehicular sweep run serially vs.
-// on all hardware threads, verifying per-run digests match.
+// on all hardware threads, verifying per-run digests match, and (5) the
+// Eq. 5-10 model: Fig. 4's solver grid in calls/s, and g_T against an
+// in-binary literal reference (each round's Eq. 7 product rebuilt from
+// scratch, as the model did before its O(rounds) recurrence).
 //
 // Emits BENCH_perf.json (schema "spider-bench-perf-v1"; see README) so CI can
 // upload the numbers and successive PRs have a comparable perf record.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +50,8 @@
 #include "core/shard_scenarios.h"
 #include "core/sweep.h"
 #include "mac/access_point.h"
+#include "model/join_model.h"
+#include "model/throughput_opt.h"
 #include "net/frame.h"
 #include "phy/medium.h"
 #include "phy/radio.h"
@@ -643,6 +649,36 @@ ShardMeasurement sharded_world_run(const phy::ShardScenario& scenario,
   return m;
 }
 
+// ---------------------------------------------------------------------------
+// Literal reference for the join model: g_T as the model evaluated it before
+// the O(rounds) recurrence — every round's p(f, j*D) rebuilt from Eq. 7's
+// double product (the terms of equal n - m folded into powers), so a call
+// costs O(rounds^2 * K). Counts rounds as floor(T / D), which is exact for
+// the binary-exact period Fig. 4 uses (D = 0.5 s).
+double literal_no_join(const model::JoinModelParams& p, double f, int rounds) {
+  double no_join = 1.0;
+  for (int delta = 0; delta < rounds; ++delta) {
+    const double qf = model::q_round_failure(p, f, delta);
+    if (qf >= 1.0) continue;
+    no_join *= std::pow(qf, rounds - delta);
+    if (no_join < 1e-15) return 0.0;
+  }
+  return no_join;
+}
+
+double literal_expected_join_time(const model::JoinModelParams& p, double f,
+                                  double T) {
+  if (T <= 0.0) return 0.0;
+  f = std::min(f, 1.0);
+  const int rounds = static_cast<int>(std::floor(T / p.period));
+  double expected = 0.0;
+  for (int j = 0; j < rounds; ++j) {
+    expected += p.period * literal_no_join(p, f, j);
+  }
+  expected += (T - rounds * p.period) * literal_no_join(p, f, rounds);
+  return std::min(expected, T);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -657,8 +693,9 @@ int main(int argc, char** argv) {
   // --shards N sets the sharded-world section's strip count (0 = one strip
   // per available hardware thread, capped at 8).
   int shards_override = 0;
-  // --section NAME[,NAME...] runs only the named sections and emits only
-  // their JSON objects (empty = the full suite). The CI perf gate needs the
+  // --section NAME[,NAME...] runs only the named sections (event_queue,
+  // stream, phy, scale, fleet, shard, sweep, model) and emits only their
+  // JSON objects (empty = the full suite). The CI perf gate needs the
   // full suite — the baseline keys every section — but local iteration and
   // targeted CI reruns can pay for just the one being worked on.
   std::vector<std::string> section_filter;
@@ -706,13 +743,14 @@ int main(int argc, char** argv) {
     }
   }
   static constexpr const char* kSectionNames[] = {
-      "event_queue", "stream", "phy", "scale", "fleet", "shard", "sweep"};
+      "event_queue", "stream", "phy", "scale", "fleet", "shard", "sweep",
+      "model"};
   for (const std::string& s : section_filter) {
     bool known = false;
     for (const char* name : kSectionNames) known = known || s == name;
     SPIDER_CHECK(known) << "--section: unknown section '" << s
                         << "' (sections: event_queue, stream, phy, scale, "
-                           "fleet, shard, sweep)";
+                           "fleet, shard, sweep, model)";
   }
   const auto section_on = [&section_filter](const char* name) {
     if (section_filter.empty()) return true;
@@ -1059,6 +1097,104 @@ int main(int argc, char** argv) {
       .add_hex("combined_digest", parallel.combined_digest());
   }
 
+  // ---- model: Fig. 4's solver grid ---------------------------------------
+  // Calls/s over Fig. 4's grid (36 optimize_two_channels + 6 dividing_speed
+  // calls, the bench's own parameters), and g_T's speedup over the literal
+  // reference on the points that grid feeds it: the optimizer's f grid at
+  // each of Fig. 4's 12 times in range. Nearly all solver time is in g_T,
+  // and the solver calls it only through src/model, so the ratio is taken
+  // on g_T itself. Both numbers are medians of kModelRepeats runs.
+  bench::JsonWriter model_json;
+  if (section_on("model")) {
+  constexpr int kModelRepeats = 5;
+  model::OptimizerParams op;
+  op.join.beta_max = 10.0;
+  const double Bw = op.wireless_bps;
+  constexpr double kRanges[] = {100.0, 50.0};
+  constexpr double kShares[] = {0.25, 0.50, 0.75};
+  constexpr double kSpeeds[] = {2.5, 3.3, 5.0, 6.6, 10.0, 20.0};
+  const auto fig4_grid = [&] {
+    double total = 0.0;
+    int calls = 0;
+    for (double range : kRanges)
+      for (double share : kShares) {
+        const model::ChannelOffer ch1{share * Bw, 0.0};
+        const model::ChannelOffer ch2{0.0, (1.0 - share) * Bw};
+        for (double v : kSpeeds) {
+          op.time_in_range = model::time_in_range_for_speed(v, range);
+          total += model::optimize_two_channels(op, ch1, ch2).total_bps;
+          ++calls;
+        }
+        total += model::dividing_speed(op, ch1, ch2, range, 0.5, 60.0, 0.05,
+                                       0.05);
+        ++calls;
+      }
+    sink += static_cast<std::uint64_t>(total);
+    return calls;
+  };
+  int grid_calls = 0;
+  trace::EmpiricalCdf grid_seconds;
+  for (int r = 0; r < kModelRepeats; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    grid_calls = fig4_grid();
+    grid_seconds.add(seconds_since(start));
+  }
+  const double grid_s = grid_seconds.median();
+
+  std::vector<double> horizons;
+  for (double range : kRanges)
+    for (double v : kSpeeds) {
+      horizons.push_back(model::time_in_range_for_speed(v, range));
+    }
+  const int f_steps = static_cast<int>(std::round(1.0 / op.grid_step));
+  // Every point checks the two arms agree (Eq. 7 reordered, so to 1e-12*T)
+  // before any timing is trusted.
+  for (double T : horizons)
+    for (int i = 0; i <= f_steps; ++i) {
+      const double f = static_cast<double>(i) / f_steps;
+      const double fast = model::expected_join_time(op.join, f, T);
+      const double literal = literal_expected_join_time(op.join, f, T);
+      SPIDER_CHECK(std::fabs(fast - literal) <= 1e-12 * T)
+          << "g_T diverged from the literal reference at f=" << f
+          << " T=" << T << ": " << fast << " vs " << literal;
+    }
+  // The shipped arm is ~40x faster: it sweeps the points kFastSweeps times
+  // per repeat so both arms run long enough to time.
+  constexpr int kFastSweeps = 16;
+  const auto sweep_g = [&](auto&& g_T, int sweeps) {
+    double acc = 0.0;
+    const auto start = std::chrono::steady_clock::now();
+    for (int s = 0; s < sweeps; ++s)
+      for (double T : horizons)
+        for (int i = 0; i <= f_steps; ++i) {
+          acc += g_T(op.join, static_cast<double>(i) / f_steps, T);
+        }
+    const double seconds = seconds_since(start) / sweeps;
+    sink += static_cast<std::uint64_t>(acc);
+    return seconds;
+  };
+  trace::EmpiricalCdf ratios;
+  for (int r = 0; r < kModelRepeats; ++r) {
+    const double literal_s = sweep_g(literal_expected_join_time, 1);
+    const double fast_s = sweep_g(model::expected_join_time, kFastSweeps);
+    ratios.add(literal_s / fast_s);
+  }
+  const double model_speedup = ratios.median();
+  const std::size_t g_points = horizons.size() * (f_steps + 1);
+  std::printf(
+      "model:        Fig. 4 grid (%d solver calls) in %.3fs  (%.1f calls/s);\n"
+      "              g_T over %zu (f, T) points %.1fx the literal reference\n"
+      "              (medians of %d)\n",
+      grid_calls, grid_s, grid_calls / grid_s, g_points, model_speedup,
+      kModelRepeats);
+  model_json.add("grid_calls", grid_calls)
+      .add("grid_seconds", grid_s)
+      .add("calls_per_sec", grid_calls / grid_s)
+      .add("g_points", static_cast<std::uint64_t>(g_points))
+      .add("speedup_vs_literal", model_speedup)
+      .add("repeats", kModelRepeats);
+  }
+
   // ---- artifact -----------------------------------------------------------
   bench::JsonWriter doc;
   // hardware_threads is what the OS reports, default_pool_threads what a
@@ -1079,6 +1215,7 @@ int main(int argc, char** argv) {
   if (section_on("fleet")) doc.add_object("fleet", fleet_json);
   if (section_on("shard")) doc.add_object("shard", shard_json);
   if (section_on("sweep")) doc.add_object("sweep", sweep);
+  if (section_on("model")) doc.add_object("model", model_json);
   if (!doc.write_file(out_path)) {
     std::fprintf(stderr, "failed to write %s\n", out_path);
     return 1;

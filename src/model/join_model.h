@@ -47,7 +47,9 @@ double q_single(const JoinModelParams& params, double fraction,
 double q_round_failure(const JoinModelParams& params, double fraction,
                        int round_delta);
 
-// Eq. 7: probability of obtaining at least one lease within time t.
+// Eq. 7: probability of obtaining at least one lease within time t, over
+// the s = floor(t/D) whole rounds in t (a quotient within a few ulps of an
+// integer counts as that integer, so t = j*D is j rounds for any D).
 double join_probability(const JoinModelParams& params, double fraction,
                         double time_in_range);
 
@@ -55,7 +57,9 @@ double join_probability(const JoinModelParams& params, double fraction,
 //   g_T(f_i) = sum over rounds of D * (1 - p(f_i, j*D))
 // This is the g_T(f_i) of the throughput optimization (Section 2.1.3);
 // if joining is hopeless it approaches T and the channel contributes
-// nothing.
+// nothing. One pass over the rounds: p(f_i, (j+1)*D) follows from
+// p(f_i, j*D) through Eq. 7's prefix products, so a call costs
+// O(rounds * requests_per_round).
 double expected_join_time(const JoinModelParams& params, double fraction,
                           double time_in_range);
 

@@ -8,6 +8,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
+#include <limits>
 
 #include <cstring>
 #include <utility>
@@ -90,6 +92,52 @@ std::string error_line(std::string_view message) {
   telemetry::append_json_quoted(out, message);
   out += "}\n";
   return out;
+}
+
+// Largest duration_s, and aps/clients count, a submission may ask for.
+constexpr double kMaxDurationS = 86400.0;
+constexpr double kMaxNodes = 4096.0;
+
+// Reads a submit request into `out`, or returns why it is refused. Every
+// numeric field is range-checked before any cast: a seed must be bare
+// decimal digits below 2^64 (read exactly, not through a double), and
+// duration_s, aps and clients must be finite and inside the ranges the
+// protocol documents (see run_server.h).
+const char* parse_submission(const telemetry::JsonValue& request,
+                             RunSubmission& out) {
+  out.scenario = request.string_or("scenario", "drive");
+  if (out.scenario != "drive" && out.scenario != "fleet") {
+    return "unknown scenario";
+  }
+  if (const telemetry::JsonValue* seed = request.find("seed")) {
+    if (!seed->exact_u64) return "seed must be an integer in [0, 2^64)";
+    out.seed = *seed->exact_u64;
+  }
+  // A present field that is not a number reads as NaN, which every range
+  // check below refuses.
+  const auto number = [&request](const char* key, double fallback) {
+    const telemetry::JsonValue* v = request.find(key);
+    if (v == nullptr) return fallback;
+    return v->is_number() ? v->number
+                          : std::numeric_limits<double>::quiet_NaN();
+  };
+  const auto node_count = [](double v) {
+    return v >= 1.0 && v <= kMaxNodes && std::floor(v) == v;  // false for NaN
+  };
+  const double duration_ms = number("duration_s", 30.0) * 1e3;
+  if (!(duration_ms >= 1.0 && duration_ms <= kMaxDurationS * 1e3)) {
+    return "duration_s must be in [0.001, 86400]";
+  }
+  const double aps = number("aps", 12);
+  const double clients = number("clients", 4);
+  if (!node_count(aps)) return "aps must be a whole number in [1, 4096]";
+  if (!node_count(clients)) {
+    return "clients must be a whole number in [1, 4096]";
+  }
+  out.duration = sim::Time::millis(static_cast<std::int64_t>(duration_ms));
+  out.aps = static_cast<int>(aps);
+  out.clients = static_cast<int>(clients);
+  return nullptr;
 }
 
 }  // namespace
@@ -360,20 +408,8 @@ void RunServer::handle_client(int fd) {
     }
     if (cmd == "submit") {
       RunSubmission submission;
-      submission.scenario = request.string_or("scenario", "drive");
-      submission.seed =
-          static_cast<std::uint64_t>(request.number_or("seed", 1));
-      submission.duration = sim::Time::millis(static_cast<std::int64_t>(
-          request.number_or("duration_s", 30.0) * 1e3));
-      submission.aps = static_cast<int>(request.number_or("aps", 12));
-      submission.clients = static_cast<int>(request.number_or("clients", 4));
-      if (submission.scenario != "drive" && submission.scenario != "fleet") {
-        if (!send_all(fd, error_line("unknown scenario"))) break;
-        continue;
-      }
-      if (submission.duration <= sim::Time::zero() || submission.aps < 1 ||
-          submission.clients < 1) {
-        if (!send_all(fd, error_line("bad submission parameters"))) break;
+      if (const char* error = parse_submission(request, submission)) {
+        if (!send_all(fd, error_line(error))) break;
         continue;
       }
       const std::uint32_t tag = submit(submission);

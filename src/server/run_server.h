@@ -16,6 +16,10 @@
 //   {"cmd":"submit","scenario":"drive",    -> {"ok":true,"run":R}; the run
 //    "seed":1,"duration_s":30,"aps":12}       executes on the server's
 //                                             runner thread, tagged R
+//     seed: bare digits, any value below 2^64 (read exactly; default 1);
+//     duration_s: [0.001, 86400] (default 30); aps and clients (fleet only):
+//     whole numbers in [1, 4096] (defaults 12 and 4). Anything else, NaN
+//     or infinity included, gets {"ok":false,"error":...}.
 //   {"cmd":"shutdown"}                     -> {"ok":true}; flags the host
 //                                             loop to stop (see
 //                                             shutdown_requested())

@@ -1,6 +1,7 @@
 #include "telemetry/json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace spider::telemetry {
@@ -100,7 +101,13 @@ class Parser {
     char* end = nullptr;
     out.type = JsonValue::Type::kNumber;
     out.number = std::strtod(token.c_str(), &end);
-    return end != nullptr && *end == '\0';
+    if (end == nullptr || *end != '\0') return false;
+    if (token.find_first_not_of("0123456789") == std::string::npos) {
+      errno = 0;
+      const std::uint64_t exact = std::strtoull(token.c_str(), nullptr, 10);
+      if (errno != ERANGE) out.exact_u64 = exact;
+    }
+    return true;
   }
 
   bool parse_value(JsonValue& out) {

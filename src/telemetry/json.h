@@ -3,13 +3,15 @@
 // Parses exactly the JSON this repo emits (run-report JSONL lines, Chrome
 // trace files, BENCH_*.json) back into a DOM — what spider-trace and the
 // schema round-trip tests consume. Not a general-purpose parser: no \uXXXX
-// decoding (the emitters never produce it), numbers are doubles, input must
-// be a single value.
+// decoding (the emitters never produce it), numbers are doubles (a plain
+// non-negative integer also keeps its exact 64-bit value), input must be a
+// single value.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +32,9 @@ class JsonValue {
   Type type = Type::kNull;
   bool boolean = false;
   double number = 0.0;
+  // Exact value of a number written as bare decimal digits (no sign,
+  // fraction or exponent) below 2^64; `number` holds it rounded to 53 bits.
+  std::optional<std::uint64_t> exact_u64;
   std::string string;
   std::vector<JsonValue> array;
   // Insertion-ordered object members (duplicates keep the last value).

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 namespace spider::model {
 namespace {
@@ -176,6 +179,171 @@ TEST(ExpectedJoinTime, MonotoneDecreasingInFraction) {
     EXPECT_LE(g, prev + 1e-9);
     prev = g;
   }
+}
+
+// ---- Differential test against a literal Eq. 5-7 oracle -----------------
+//
+// Written from the model's statement (Section 2.1.1), not from
+// join_model.cc: request k of round m leaves (m-1)*D + w + (k-1)*c into the
+// timeline while the node is still on channel (before (m-1)*D + f*D); its
+// response lands beta ~ U[beta_min, beta_max] later and is heard only inside
+// a window [(n-1)*D, (n-1)*D + f*D]. Every (m, n, k) triple is evaluated on
+// its own: no powers, no early exit, no round reusing another's product.
+// Round counts are integers the caller derives from whole milliseconds, so
+// the oracle shares no floating-point rounding rule with the model.
+namespace literal {
+
+double q(const JoinModelParams& p, double f, int m, int n, int k) {
+  const double sent = p.switch_delay + (k - 1) * p.request_interval;
+  const double window_lo = (n - m) * p.period;
+  const double window_hi = window_lo + f * p.period;
+  const double overlap = std::min(sent + p.beta_max, window_hi) -
+                         std::max(sent + p.beta_min, window_lo);
+  return overlap > 0.0 ? overlap / (p.beta_max - p.beta_min) : 0.0;
+}
+
+// 1 - Eq. 7 over exactly `rounds` whole rounds.
+double no_join(const JoinModelParams& p, double f, int rounds) {
+  double product = 1.0;
+  for (int n = 1; n <= rounds; ++n) {
+    for (int m = 1; m <= n; ++m) {
+      for (int k = 1; p.switch_delay + (k - 1) * p.request_interval <
+                         f * p.period;
+           ++k) {
+        product *= 1.0 - (1.0 - p.loss) * (1.0 - p.loss) * q(p, f, m, n, k);
+      }
+    }
+  }
+  return product;
+}
+
+// no_join(p, f, j) for j = 0..rounds, each from scratch.
+std::vector<double> no_join_table(const JoinModelParams& p, double f,
+                                  int rounds) {
+  std::vector<double> table;
+  for (int j = 0; j <= rounds; ++j) table.push_back(no_join(p, f, j));
+  return table;
+}
+
+// g_T for T = t_ms / 1000 s and D = period_ms / 1000 s, from a table that
+// covers the t_ms / period_ms whole rounds.
+double g_T(const std::vector<double>& no_join, int period_ms, int t_ms) {
+  const int rounds = t_ms / period_ms;
+  double expected = 0.0;
+  for (int j = 0; j < rounds; ++j) expected += period_ms / 1e3 * no_join[j];
+  expected += (t_ms - rounds * period_ms) / 1e3 * no_join[rounds];
+  return std::min(expected, t_ms / 1e3);
+}
+
+}  // namespace literal
+
+constexpr double kProbTol = 1e-12;  // |p - p_oracle|; g_T gets kProbTol * T
+
+JoinModelParams oracle_params(int period_ms, double beta_max, double loss) {
+  JoinModelParams p = paper_params(beta_max);
+  p.period = period_ms / 1e3;
+  p.loss = loss;
+  return p;
+}
+
+// Compares p at every t = j*D (whole rounds, where D = 0.3 s style periods
+// used to lose one) and half a round past it, and g_T at every horizon in
+// `horizons_ms`, for one parameter set and fraction.
+void expect_matches_oracle(int period_ms, double beta_max, double loss,
+                           double f, const std::vector<int>& horizons_ms) {
+  const JoinModelParams p = oracle_params(period_ms, beta_max, loss);
+  int longest_ms = 0;
+  for (int t_ms : horizons_ms) longest_ms = std::max(longest_ms, t_ms);
+  const std::vector<double> no_join =
+      literal::no_join_table(p, f, longest_ms / period_ms);
+  const double D = p.period;
+  for (int j = 0; j < static_cast<int>(no_join.size()); ++j) {
+    const double expected = 1.0 - no_join[j];
+    ASSERT_NEAR(join_probability(p, f, j * D), expected, kProbTol)
+        << "D=" << D << " beta_max=" << beta_max << " h=" << loss
+        << " f=" << f << " j=" << j;
+    ASSERT_NEAR(join_probability(p, f, (j + 0.5) * D), expected, kProbTol)
+        << "D=" << D << " beta_max=" << beta_max << " h=" << loss
+        << " f=" << f << " t=(" << j << "+0.5)D";
+  }
+  for (int t_ms : horizons_ms) {
+    const double T = t_ms / 1e3;
+    ASSERT_NEAR(expected_join_time(p, f, T),
+                literal::g_T(no_join, period_ms, t_ms), kProbTol * T)
+        << "D=" << D << " beta_max=" << beta_max << " h=" << loss
+        << " f=" << f << " T=" << T;
+  }
+}
+
+class LiteralOracleGrid : public ::testing::TestWithParam<int> {};
+
+// f in {0.05 .. 1}, beta_max in {2, 5, 10}, h in {0, 0.1, 0.5}: every
+// round up to 20 s, g_T below one round, at 4 s and at 20 s.
+TEST_P(LiteralOracleGrid, MatchesUpTo20Seconds) {
+  const int period_ms = GetParam();
+  for (double beta_max : {2.0, 5.0, 10.0})
+    for (double loss : {0.0, 0.1, 0.5})
+      for (int i = 1; i <= 20; ++i) {
+        expect_matches_oracle(period_ms, beta_max, loss, i * 0.05,
+                              {period_ms - 1, 4000, 20000});
+        if (HasFatalFailure()) return;
+      }
+}
+
+// Fig. 4's longest time in range (2.5 m/s through 100 m): every round up to
+// 80 s and g_T at 40 s and 80 s, on a coarser fraction grid.
+TEST_P(LiteralOracleGrid, MatchesUpTo80Seconds) {
+  const int period_ms = GetParam();
+  for (double beta_max : {2.0, 5.0, 10.0})
+    for (double f : {0.05, 0.25, 0.5, 1.0}) {
+      expect_matches_oracle(period_ms, beta_max, 0.1, f, {40000, 80000});
+      if (HasFatalFailure()) return;
+    }
+}
+
+// 0.3, 0.4, 0.6 and 0.7 s are periods binary floating point cannot hold.
+INSTANTIATE_TEST_SUITE_P(Periods, LiteralOracleGrid,
+                         ::testing::Values(250, 300, 400, 500, 600, 700));
+
+// Regressions: here floor(j*D / D) gave j - 1 rounds, so g_T gained up to
+// one period over the oracle.
+TEST(LiteralOracle, ExactAtPeriodsBinaryCannotHold) {
+  expect_matches_oracle(300, 10.0, 0.1, 0.25, {20000});
+  expect_matches_oracle(600, 10.0, 0.1, 0.25, {40000});
+  // j*D is j whole rounds, not j - 1 (D = 0.3 s lost one first at j = 31).
+  const JoinModelParams p = oracle_params(300, 10.0, 0.1);
+  EXPECT_GT(join_probability(p, 0.25, 31 * p.period),
+            join_probability(p, 0.25, 30.5 * p.period));
+}
+
+TEST(LiteralOracle, Edges) {
+  const JoinModelParams p = oracle_params(300, 10.0, 0.1);
+  // f = 0: never joins, so the whole horizon is spent waiting.
+  EXPECT_EQ(join_probability(p, 0.0, 20.0), 0.0);
+  EXPECT_DOUBLE_EQ(expected_join_time(p, 0.0, 20.0), 20.0);
+  // T < D: no whole round, no join.
+  EXPECT_EQ(join_probability(p, 0.5, 0.299), 0.0);
+  EXPECT_EQ(expected_join_time(p, 0.5, 0.299), 0.299);
+  // T = 0.
+  EXPECT_EQ(join_probability(p, 0.5, 0.0), 0.0);
+  EXPECT_EQ(expected_join_time(p, 0.5, 0.0), 0.0);
+}
+
+TEST(LiteralOracle, InvalidParamsThrow) {
+  JoinModelParams bad = paper_params();
+  bad.period = 0.0;
+  EXPECT_THROW(join_probability(bad, 0.5, 4.0), std::invalid_argument);
+  EXPECT_THROW(expected_join_time(bad, 0.5, 4.0), std::invalid_argument);
+  bad = paper_params();
+  bad.beta_max = 0.1;  // below beta_min
+  EXPECT_THROW(join_probability(bad, 0.5, 4.0), std::invalid_argument);
+  EXPECT_THROW(expected_join_time(bad, 0.5, 4.0), std::invalid_argument);
+  // A horizon that is not a finite number of rounds.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(join_probability(paper_params(), 0.5, inf),
+               std::invalid_argument);
+  EXPECT_THROW(expected_join_time(paper_params(), 0.5, inf),
+               std::invalid_argument);
 }
 
 TEST(MonteCarlo, TrialIsDeterministicForSeed) {

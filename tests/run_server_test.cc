@@ -276,5 +276,91 @@ TEST(RunServer, ConcurrentClientsAreServedIndependently) {
   server.stop();
 }
 
+// Sends one request line and reports whether the reply says ok.
+bool request_ok(Client& client, const std::string& line) {
+  if (!client.send_line(line)) return false;
+  telemetry::JsonValue reply;
+  if (!telemetry::parse_json(client.read_line(), reply)) return false;
+  const telemetry::JsonValue* ok = reply.find("ok");
+  return ok != nullptr && ok->boolean;
+}
+
+std::string digest_hex(std::uint64_t digest) {
+  std::string out;
+  telemetry::append_json_hex64(out, digest);
+  return out.substr(1, out.size() - 2);  // drop the JSON quotes
+}
+
+TEST(RunServer, SubmittedSeedAbove2To53IsExact) {
+  RunServerConfig config;
+  config.socket_path = test_socket_path("seed64");
+  config.stream_cadence = sim::Time::millis(10);
+  RunServer server(config);
+  ASSERT_TRUE(server.start());
+  {
+    Client client(config.socket_path);
+    ASSERT_TRUE(client.ok());
+    // 2^63 + 1: a double would round it to 2^63.
+    ASSERT_TRUE(request_ok(client,
+                           "{\"cmd\":\"submit\",\"scenario\":\"drive\","
+                           "\"seed\":9223372036854775809,\"duration_s\":5,"
+                           "\"aps\":6}"));
+  }
+  server.wait_idle();
+  server.stop();
+  telemetry::JsonValue snap;
+  ASSERT_TRUE(telemetry::parse_json(server.exporter().snapshot_json(), snap));
+  const telemetry::JsonValue* runs = snap.find("runs");
+  ASSERT_NE(runs, nullptr);
+  ASSERT_EQ(runs->array.size(), 1u);
+  const std::string hosted = runs->array[0].string_or("digest", "");
+
+  const auto in_process = [](std::uint64_t seed) {
+    core::Experiment experiment(
+        drive_scenario(seed, sim::Time::seconds(5), 6));
+    experiment.run();
+    return digest_hex(experiment.simulator().digest());
+  };
+  EXPECT_EQ(hosted, in_process((std::uint64_t{1} << 63) + 1));
+  EXPECT_NE(hosted, in_process(std::uint64_t{1} << 63));
+}
+
+TEST(RunServer, SubmitRefusesNumbersItCannotHold) {
+  RunServerConfig config;
+  config.socket_path = test_socket_path("refuse");
+  RunServer server(config);
+  ASSERT_TRUE(server.start());
+  {
+    Client client(config.socket_path);
+    ASSERT_TRUE(client.ok());
+    const std::string fleet =
+        "{\"cmd\":\"submit\",\"scenario\":\"fleet\",\"duration_s\":4,"
+        "\"aps\":6,";
+    for (const char* bad : {
+             "\"clients\":NaN}",    // not JSON: refused as malformed
+             "\"clients\":1e300}",  // finite, far out of range
+             "\"clients\":1e999}",  // parses to infinity
+             "\"clients\":2.5}",    // not a whole number
+             "\"clients\":0}",
+             "\"clients\":\"2\"}",  // not a number
+             "\"clients\":2,\"duration_s\":-1}",
+             "\"clients\":2,\"duration_s\":1e300}",
+             "\"clients\":2,\"seed\":-1}",
+             "\"clients\":2,\"seed\":1.5}",
+             "\"clients\":2,\"seed\":18446744073709551616}",  // 2^64
+         }) {
+      EXPECT_FALSE(request_ok(client, fleet + bad)) << bad;
+    }
+    // The largest seed is accepted; nothing above was queued.
+    EXPECT_EQ(server.runs_submitted(), 0u);
+    EXPECT_TRUE(request_ok(client, fleet + "\"clients\":1,\"duration_s\":1,"
+                                           "\"seed\":18446744073709551615}"));
+  }
+  server.wait_idle();
+  server.stop();
+  EXPECT_EQ(server.runs_submitted(), 1u);
+  EXPECT_EQ(server.runs_failed(), 0u);
+}
+
 }  // namespace
 }  // namespace spider::server

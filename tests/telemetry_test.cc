@@ -355,6 +355,22 @@ TEST(Json, ParsesTheShapesTheEmittersProduce) {
   EXPECT_DOUBLE_EQ(doc.find("o")->number_or("k", 0), 1.0);
 }
 
+TEST(Json, BareIntegersKeepTheirExact64BitValue) {
+  JsonValue doc;
+  ASSERT_TRUE(parse_json(
+      R"({"max":18446744073709551615,"odd":9007199254740993,"zero":0,)"
+      R"("over":18446744073709551616,"neg":-1,"frac":1.0,"exp":1e3})",
+      doc, nullptr));
+  EXPECT_EQ(doc.find("max")->exact_u64, 18446744073709551615ull);
+  // 2^53 + 1: the double rounds it, the exact value does not.
+  EXPECT_EQ(doc.find("odd")->exact_u64, 9007199254740993ull);
+  EXPECT_EQ(doc.find("zero")->exact_u64, 0ull);
+  for (const char* key : {"over", "neg", "frac", "exp"}) {
+    EXPECT_TRUE(doc.find(key)->is_number()) << key;
+    EXPECT_FALSE(doc.find(key)->exact_u64.has_value()) << key;
+  }
+}
+
 TEST(Json, RejectsMalformedInput) {
   JsonValue doc;
   std::string error;
